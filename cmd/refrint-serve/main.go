@@ -169,7 +169,12 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
-		logger.Info("store opened", "dir", *dataDir, "blobs", st.Stats().Entries)
+		ss := st.Stats()
+		mode := "index"
+		if ss.OpenScanned {
+			mode = "scan"
+		}
+		logger.Info("store opened", "dir", *dataDir, "blobs", ss.Entries, "open", mode, "open_ms", float64(ss.OpenDuration.Microseconds())/1e3)
 	}
 
 	svc := server.New(server.Config{

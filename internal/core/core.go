@@ -602,7 +602,7 @@ func (b *Bank) Drain(endCycle int64) {
 }
 
 // FlushInto invalidates every line, appends the dirty copies to the
-// caller-owned dst (mirroring event.Wheel.PopDueInto) and returns the
+// caller-owned dst (mirroring event.FrameWheel.PopDueInto) and returns the
 // extended buffer, so repeated end-of-run flushes reuse one buffer instead
 // of allocating a fresh slice per call.
 func (b *Bank) FlushInto(dst []mem.Line) []mem.Line {

@@ -215,6 +215,12 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		gauge("refrint_store_degraded", "1 while the store runs memory-only after persistent write failures, 0 when healthy.", degraded)
 		counter("refrint_store_write_retries_total", "Transient blob-write failures retried with backoff.", ss.WriteRetries)
 		counter("refrint_store_degraded_puts_total", "Puts absorbed into memory while the store was degraded.", ss.DegradedPuts)
+		gauge("refrint_store_open_seconds", "How long opening the store took at startup.", fmt.Sprintf("%.6f", ss.OpenDuration.Seconds()))
+		scanned := 0
+		if ss.OpenScanned {
+			scanned = 1
+		}
+		gauge("refrint_store_open_scanned", "1 if the store was opened by scanning its blobs, 0 if from an index written by a clean shutdown.", scanned)
 	}
 
 	gauge("refrint_event_subscribers", "Open SSE subscriptions (job, batch and firehose streams).", subs)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -263,5 +264,39 @@ func TestMetricsWithoutStore(t *testing.T) {
 	}
 	if regexp.MustCompile(`refrint_cell_cache_hits_total`).MatchString(text) {
 		t.Error("store-less server exposes cell cache series")
+	}
+}
+
+// TestMetricsStoreOpen verifies /metrics reports how the configured store
+// was opened: by scanning a fresh directory, then from the index its clean
+// Close wrote.
+func TestMetricsStoreOpen(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	h1 := newHarness(t, Config{Store: st1})
+	view, _ := h1.submit(tinyRequest(3))
+	h1.waitState(view.ID, StateDone)
+	text, _ := h1.getText("/metrics")
+	if v := metricValue(t, text, "refrint_store_open_scanned"); v != 1 {
+		t.Errorf("fresh store: refrint_store_open_scanned = %g, want 1", v)
+	}
+	if v := metricValue(t, text, "refrint_store_open_seconds"); v < 0 {
+		t.Errorf("fresh store: refrint_store_open_seconds = %g, want >= 0", v)
+	}
+	h1.ts.Close()
+	h1.srv.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	h2 := newHarness(t, Config{Store: st2})
+	text, _ = h2.getText("/metrics")
+	if v := metricValue(t, text, "refrint_store_open_scanned"); v != 0 {
+		t.Errorf("after a clean close: refrint_store_open_scanned = %g, want 0", v)
+	}
+	if v, want := metricValue(t, text, "refrint_store_open_seconds"), st2.Stats().OpenDuration.Seconds(); math.Abs(v-want) > 1e-6 {
+		t.Errorf("after a clean close: refrint_store_open_seconds = %g, want %g", v, want)
 	}
 }

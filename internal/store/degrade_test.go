@@ -208,19 +208,27 @@ func TestQuarantineRenameFailureStillDrops(t *testing.T) {
 	if err := s.Put(KindCell, key(2), testPayload(2)); err != nil {
 		t.Fatal(err) // pushes key(1) out of the memory front
 	}
-	// Corrupt the blob so the read fails, then arrange for the quarantine
-	// rename itself to fail by deleting the file between the failed read and
-	// the rename.  Simplest deterministic stand-in: remove the file and
-	// corrupt nothing — readBlob fails with ENOENT, quarantine's rename of
-	// the missing file fails, and the fallback must still drop the entry.
+	// The read must fail verification and the quarantine rename must fail
+	// too, as when the corrupt blob vanishes between the two.  Deterministic
+	// stand-in: remove the file and inject a corrupt read — readBlob reports
+	// corruption before touching the disk, quarantine's rename of the
+	// missing file fails, and the fallback must still drop the entry.  (A
+	// plain ENOENT read is a miss that never reaches quarantine.)
 	if err := os.Remove(s.blobPath(KindCell, key(1))); err != nil {
 		t.Fatal(err)
 	}
+	inj, err := faults.Parse("store.get:corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	t.Cleanup(faults.Disable)
 
 	var got payload
 	if s.Get(KindCell, key(1), &got) {
 		t.Fatal("Get hit a deleted blob")
 	}
+	faults.Disable()
 	if s.Contains(KindCell, key(1)) {
 		t.Fatal("failed quarantine left the entry indexed")
 	}

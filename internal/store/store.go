@@ -15,6 +15,13 @@
 // moved to the quarantine directory rather than deleted, so a corrupted
 // store degrades to cache misses without losing evidence.
 //
+// The index is authoritative only after a clean shutdown: Close marks it
+// clean when it lists every blob on disk, and Open then installs it without
+// touching the blob directories.  The first blob write of such a session
+// durably marks the index unclean again, and every index written while the
+// store runs is unclean, so after a crash Open reconciles the index against
+// a scan of the blobs instead.
+//
 // The disk footprint is bounded by an LRU-bytes budget: when a put pushes
 // the total past the budget, blobs are deleted until it fits — highest
 // eviction rank first (PutRanked; the sweep service maps scheduling classes
@@ -34,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -167,6 +175,11 @@ type Stats struct {
 	// DegradedPuts counts puts served memory-only while degraded.
 	WriteRetries int64
 	DegradedPuts int64
+	// OpenScanned reports how Open built the index: true when it walked the
+	// blob directories (no index, or one not marked clean), false when it
+	// installed a clean index as it was.  OpenDuration is how long Open took.
+	OpenScanned  bool
+	OpenDuration time.Duration
 }
 
 // envelope is the on-disk form of one blob.
@@ -200,6 +213,18 @@ type Store struct {
 	dirty   int // index mutations since the last index write
 	stats   Stats
 
+	// cleanOnDisk: the index file on disk is marked clean, so the next Open
+	// would trust it.  It holds from a trusted open until the first blob
+	// write, which rewrites the index unclean before touching a blob.
+	cleanOnDisk bool
+	// inflight counts puts past that rewrite whose blob write has not
+	// finished; Close marks the index clean only when there are none.
+	inflight int
+	// strays: a blob may be on disk with no index entry (an eviction
+	// unlink or a quarantine rename failed), which only a scan would find.
+	strays bool
+	closed bool // set by Close; later puts fail with ErrClosed
+
 	mem      map[string][]byte // composite key -> payload bytes (hot front)
 	memOrder []string          // composite keys, oldest first
 	memBytes int64             // total payload bytes held by the front
@@ -214,8 +239,12 @@ type Store struct {
 	probeWG       sync.WaitGroup
 }
 
+// ErrClosed is returned by puts on a closed store.
+var ErrClosed = errors.New("store: closed")
+
 // Open opens (creating if necessary) the store rooted at dir.
 func Open(dir string, opt Options) (*Store, error) {
+	began := time.Now()
 	opt = opt.withDefaults()
 	s := &Store{
 		dir:     dir,
@@ -235,6 +264,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := s.loadIndex(); err != nil {
 		return nil, err
 	}
+	s.stats.OpenDuration = time.Since(began)
 	return s, nil
 }
 
@@ -242,10 +272,18 @@ func Open(dir string, opt Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Close persists the index (access order included), stops the recovery
-// probe if one is running, and releases the in-memory front.  The store must
-// not be used after Close.
+// probe if one is running, and releases the in-memory front.  The index is
+// marked clean, so the next Open trusts it, unless a put is still in flight,
+// the store is degraded or a blob may be on disk unindexed.  Puts after
+// Close fail with ErrClosed; nothing else may be used after it.  Closing
+// again is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
 	if s.probeStop != nil {
 		close(s.probeStop)
 		s.probeStop = nil
@@ -258,7 +296,7 @@ func (s *Store) Close() error {
 	s.mem = make(map[string][]byte)
 	s.memOrder = nil
 	s.memBytes = 0
-	return s.writeIndexLocked()
+	return s.writeIndexLocked(s.inflight == 0 && !s.degraded && !s.strays)
 }
 
 // Degraded reports whether the store is in memory-only degraded mode, and —
@@ -319,24 +357,40 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	}
 	ck := compositeKey(kind, key)
 
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
 	// Degraded mode: serve the put from memory without touching the disk.
 	// The result stays readable (Get's front serves entries with no index
 	// record) until the probe re-enables writes; it is simply not durable.
-	s.mu.Lock()
 	if s.degraded {
 		s.memPutLocked(ck, raw)
 		s.stats.DegradedPuts++
 		s.mu.Unlock()
 		return nil
 	}
+	// A clean index on disk must stop claiming to list every blob before the
+	// first blob lands, so a crash from here on sends the next Open to the
+	// scan.  atomicWrite makes the rewrite durable before the blob write.
+	if s.cleanOnDisk {
+		if err := s.writeIndexLocked(false); err != nil {
+			defer s.mu.Unlock()
+			return s.putFailedLocked(kind, key, ck, raw, err)
+		}
+	}
+	s.inflight++
 	s.mu.Unlock()
 
-	if err := s.writeBlob(kind, key, blob); err != nil {
-		return s.putFailed(kind, key, ck, raw, err)
-	}
+	err = s.writeBlob(kind, key, blob)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.inflight--
+	if err != nil {
+		return s.putFailedLocked(kind, key, ck, raw, err)
+	}
 	s.consecFails = 0
 	if old, ok := s.entries[ck]; ok {
 		s.bytes -= old.bytes
@@ -344,6 +398,13 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	s.clock++
 	s.entries[ck] = &entry{kind: kind, key: key, bytes: int64(len(blob)), access: s.clock, rank: rank}
 	s.bytes += int64(len(blob))
+	if s.closed {
+		// Close ran while the blob was written.  If it has not written the
+		// index yet, the entry above makes it in; otherwise Close saw this
+		// put in flight and left the index unclean, so the next Open's scan
+		// adopts the blob.  Eviction is left to that store.
+		return nil
+	}
 	s.memPutLocked(ck, raw)
 	s.evictLocked(ck)
 	return s.maybeWriteIndexLocked()
@@ -378,17 +439,15 @@ func (s *Store) writeAttempt(path string, blob []byte) error {
 	return atomicWrite(path, blob)
 }
 
-// putFailed handles a put whose write retries ran out: the failure counts
-// toward the degradation threshold, and crossing it flips the store into
-// memory-only mode (starting the recovery probe) — in which case this put is
-// absorbed into the memory front and reported as success, exactly as if it
-// had arrived a moment later.  Below the threshold the error goes back to
-// the caller.
-func (s *Store) putFailed(kind Kind, key, ck string, raw []byte, err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// putFailedLocked handles a put whose write retries ran out: the failure
+// counts toward the degradation threshold, and crossing it flips the store
+// into memory-only mode (starting the recovery probe) — in which case this
+// put is absorbed into the memory front and reported as success, exactly as
+// if it had arrived a moment later.  Below the threshold, or once the store
+// is closed, the error goes back to the caller.
+func (s *Store) putFailedLocked(kind Kind, key, ck string, raw []byte, err error) error {
 	s.consecFails++
-	if !s.degraded && s.consecFails >= s.opt.DegradeAfter {
+	if !s.degraded && !s.closed && s.consecFails >= s.opt.DegradeAfter {
 		s.enterDegradedLocked(err)
 	}
 	if s.degraded {
@@ -510,10 +569,8 @@ func (s *Store) Get(kind Kind, key string, out any) bool {
 
 	s.mu.Lock()
 	raw, inMem := s.mem[ck]
-	indexed := inMem
-	if !inMem {
-		_, indexed = s.entries[ck]
-	}
+	e, indexed := s.entries[ck]
+	indexed = indexed || inMem
 	s.mu.Unlock()
 
 	if !indexed {
@@ -528,6 +585,17 @@ func (s *Store) Get(kind Kind, key string, out any) bool {
 			// fine, so quarantining it would punish real data for a test.
 			if errors.Is(err, faults.ErrInjected) {
 				s.count(kind, false)
+				return false
+			}
+			// A vanished blob (deleted behind the store's back, or evicted
+			// concurrently) is a plain miss: there is nothing to quarantine.
+			// Only the entry looked up above is dropped, never one a
+			// concurrent put has installed since.
+			if errors.Is(err, fs.ErrNotExist) {
+				s.mu.Lock()
+				s.dropLocked(e)
+				s.miss(kind)
+				s.mu.Unlock()
 				return false
 			}
 			// Corrupted — unless the blob was concurrently evicted, which
@@ -691,15 +759,17 @@ func (s *Store) quarantineLocked(e *entry, cause error) {
 		// Renaming failed (e.g. the file vanished); removing the index entry
 		// still turns the blob into a plain miss.
 		s.opt.Logf("store: quarantine of %s/%s failed: %v (cause: %v)", e.kind, e.key, err, cause)
+		s.strays = s.strays || !os.IsNotExist(err)
 	} else {
 		s.opt.Logf("store: quarantined %s/%s: %v", e.kind, e.key, cause)
 	}
 	s.dropLocked(e)
 	s.stats.Quarantined++
-	_ = s.writeIndexLocked()
+	_ = s.writeIndexLocked(false)
 }
 
-// dropLocked removes an entry from the index and the memory front.
+// dropLocked removes an entry from the index (if it is still the current
+// one for its key) and the memory front.
 func (s *Store) dropLocked(e *entry) {
 	ck := compositeKey(e.kind, e.key)
 	if cur, ok := s.entries[ck]; ok && cur == e {
@@ -740,6 +810,7 @@ func (s *Store) evictLocked(keep string) {
 		//refrint:allow lockcheck -- eviction must unlink the blob before the index entry is dropped, or a concurrent lookup could resurrect it
 		if err := os.Remove(s.blobPath(victim.kind, victim.key)); err != nil && !os.IsNotExist(err) {
 			s.opt.Logf("store: evicting %s/%s: %v", victim.kind, victim.key, err)
+			s.strays = true
 		}
 		s.dropLocked(victim)
 		s.stats.Evictions++
@@ -747,10 +818,11 @@ func (s *Store) evictLocked(keep string) {
 		s.opt.Logf("store: evicted %s/%s (rank %d, %d bytes)", victim.kind, victim.key, victim.rank, victim.bytes)
 	}
 	// Deleted files leave the on-disk index stale until the next batched
-	// write (reconcile-on-open heals a crash in that window); rewriting it
-	// per eviction would make every over-budget Put pay a full index
-	// rewrite.  The victim scan is O(entries) per eviction — fine at the
-	// store's scale; revisit with an access-ordered structure if entry
+	// write; rewriting it per eviction would make every over-budget Put pay
+	// a full index rewrite.  A crash in that window is healed by the scan on
+	// the next Open: evictions follow a blob write, so the index on disk is
+	// already unclean.  The victim scan is O(entries) per eviction — fine at
+	// the store's scale; revisit with an access-ordered structure if entry
 	// counts grow past ~10^5.
 }
 
@@ -870,8 +942,11 @@ func atomicWrite(path string, data []byte) error {
 // --- index ---
 
 // indexFile is the serialized index: sizes and LRU order survive restarts.
+// Clean marks an index written by Close that lists every blob on disk; only
+// such an index is trusted by Open without a scan.
 type indexFile struct {
 	Version int          `json:"version"`
+	Clean   bool         `json:"clean,omitempty"`
 	Clock   int64        `json:"clock"`
 	Entries []indexEntry `json:"entries"`
 }
@@ -888,11 +963,12 @@ type indexEntry struct {
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, versionDir, "index.json") }
 
-// indexWriteInterval batches index writes: the index is a cache of sizes
-// and LRU order, not the source of truth (loadIndex reconciles against the
-// blobs on disk), so persisting it on every put or eviction would only turn
-// an N-cell sweep into N full index rewrites.  It is always written on
-// Close and on quarantine.
+// indexWriteInterval batches index writes while the store runs.  Those
+// writes are unclean — the next Open reconciles them against the blobs on
+// disk — so persisting the index on every put or eviction would only turn
+// an N-cell sweep into N full index rewrites.  It is also written after a
+// quarantine (unclean), before the first blob write after a trusted open
+// (unclean) and on Close (clean when it lists every blob).
 const indexWriteInterval = 64
 
 // maybeWriteIndexLocked persists the index once enough mutations have
@@ -902,12 +978,12 @@ func (s *Store) maybeWriteIndexLocked() error {
 	if s.dirty < indexWriteInterval {
 		return nil
 	}
-	return s.writeIndexLocked()
+	return s.writeIndexLocked(false)
 }
 
-// writeIndexLocked persists the index atomically.
-func (s *Store) writeIndexLocked() error {
-	idx := indexFile{Version: Version, Clock: s.clock}
+// writeIndexLocked persists the index atomically, marked clean or not.
+func (s *Store) writeIndexLocked(clean bool) error {
+	idx := indexFile{Version: Version, Clean: clean, Clock: s.clock}
 	for _, e := range s.entries {
 		idx.Entries = append(idx.Entries, indexEntry{Kind: e.kind, Key: e.key, Bytes: e.bytes, Access: e.access, Rank: e.rank})
 	}
@@ -926,30 +1002,61 @@ func (s *Store) writeIndexLocked() error {
 		return fmt.Errorf("store: writing index: %w", err)
 	}
 	s.dirty = 0
+	s.cleanOnDisk = clean
 	return nil
 }
 
-// loadIndex populates the in-memory index from the index file, then
-// reconciles it against the blobs actually on disk: files missing from the
-// index are adopted (with zero access time, so they are first in line for
-// eviction), index entries whose file vanished are dropped, and sizes are
-// refreshed from the filesystem.
+// loadIndex populates the in-memory index.  A clean index is installed as
+// it is, without touching the blob directories.  A missing, unreadable or
+// unclean one is reconciled against the blobs on disk (scanBlobs).
 func (s *Store) loadIndex() error {
-	recorded := make(map[string]indexEntry)
+	var idx indexFile
 	if data, err := os.ReadFile(s.indexPath()); err == nil {
-		var idx indexFile
-		if err := json.Unmarshal(data, &idx); err == nil && idx.Version == Version {
-			s.clock = idx.Clock
-			for _, e := range idx.Entries {
-				recorded[compositeKey(e.Kind, e.Key)] = e
-			}
-		} else if err != nil {
+		if err := json.Unmarshal(data, &idx); err != nil {
 			s.opt.Logf("store: index unreadable, rebuilding: %v", err)
+			idx = indexFile{}
+		} else if idx.Version != Version {
+			idx = indexFile{}
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("store: reading index: %w", err)
 	}
+	s.clock = idx.Clock
+	if idx.Clean && s.installIndex(idx.Entries) {
+		s.cleanOnDisk = true
+		return nil
+	}
+	s.stats.OpenScanned = true
+	return s.scanBlobs(idx.Entries)
+}
 
+// installIndex adopts the entries of a clean index.  It installs nothing and
+// returns false if an entry could not have been written by this store, so
+// the caller falls back to the scan.
+func (s *Store) installIndex(recorded []indexEntry) bool {
+	for _, e := range recorded {
+		ck := compositeKey(e.Kind, e.Key)
+		if _, dup := s.entries[ck]; dup || !e.Kind.valid() || validKey(e.Key) != nil || e.Bytes < 0 {
+			s.opt.Logf("store: clean index has a bad entry %s/%s, rescanning", e.Kind, e.Key)
+			clear(s.entries)
+			s.bytes = 0
+			return false
+		}
+		s.entries[ck] = &entry{kind: e.Kind, key: e.Key, bytes: e.Bytes, access: e.Access, rank: max(e.Rank, 0)}
+		s.bytes += e.Bytes
+	}
+	return true
+}
+
+// scanBlobs builds the index from the blobs actually on disk: files missing
+// from the recorded index are adopted (with zero access time, so they are
+// first in line for eviction), recorded entries whose file vanished are
+// dropped, and sizes are refreshed from the filesystem.
+func (s *Store) scanBlobs(recorded []indexEntry) error {
+	byKey := make(map[string]indexEntry, len(recorded))
+	for _, e := range recorded {
+		byKey[compositeKey(e.Kind, e.Key)] = e
+	}
 	for _, kind := range []Kind{KindSweep, KindCell} {
 		root := filepath.Join(s.dir, versionDir, string(kind))
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -966,7 +1073,7 @@ func (s *Store) loadIndex() error {
 			}
 			ck := compositeKey(kind, key)
 			e := &entry{kind: kind, key: key, bytes: info.Size()}
-			if rec, ok := recorded[ck]; ok {
+			if rec, ok := byKey[ck]; ok {
 				e.access = rec.Access
 				e.rank = max(rec.Rank, 0)
 			}
