@@ -1,3 +1,5 @@
+// Package event provides the timing wheel the simulator uses to track
+// per-line refresh deadlines cheaply.
 package event
 
 // FrameWheel is a timing wheel specialised for the refresh machinery's
@@ -9,9 +11,11 @@ package event
 // bucket.  Rescheduling an id moves its node, so the wheel only ever holds
 // live deadlines and performs no allocation after construction.
 //
-// Ordering matches Wheel exactly for live entries: buckets drain in
-// ascending order and nodes within a bucket drain in the order their ids
-// were (re)scheduled into it.
+// Due deadlines drain in ascending bucket order (bucket = deadline /
+// granularity), and within a bucket in the order their ids were last
+// scheduled into it: rescheduling an id to a new deadline moves it to the
+// back of the new bucket, while rescheduling it to its current deadline
+// leaves it in place.  With granularity 1 the order is exact by deadline.
 type FrameWheel struct {
 	granShift   uint  // log2(granularity)
 	granularity int64 // power of two
@@ -31,6 +35,15 @@ type frameNode struct {
 }
 
 const noNode = int32(-1)
+
+// WheelEntry is one due deadline popped from a FrameWheel.
+type WheelEntry struct {
+	Cycle int64 // the deadline
+	ID    int64 // the id it was scheduled for (e.g. a line index)
+}
+
+// defaultRingBuckets is the ring size used when no horizon is given.
+const defaultRingBuckets = 64
 
 // NewFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
 // `horizon` cycles beyond the earliest pending deadline.  Scheduling past

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"refrint"
 	"refrint/internal/sched"
-	"refrint/internal/sweep"
 )
 
 // Batch groups the jobs of one atomic multi-sweep submission behind a single
@@ -150,19 +147,15 @@ func (b *Batch) snapshotLocked() BatchView {
 	return v
 }
 
-// handleSubmitBatch implements POST /v1/batches.  Admission is atomic: every
-// request is validated and the scheduler capacity for all fresh executions
-// is checked before any job is created, so a batch either lands whole or
-// leaves no trace (no half-admitted campaigns to clean up).
+// handleSubmitBatch implements POST /v1/batches: an N-member admission plan
+// (see admit.go) wrapped in one Batch handle.  Admission is atomic: a batch
+// either lands whole or leaves no trace.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	received := time.Now()
 	reqID := requestTraceID(r)
 	w.Header().Set("X-Request-Id", reqID)
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeRequest(w, r, 8<<20, &breq) {
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -178,163 +171,36 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	type planned struct {
-		req     refrint.SweepRequest
-		opts    sweep.Options
-		key     string
-		class   sched.Class
-		timeout time.Duration
-	}
-	plan := make([]planned, 0, len(breq.Requests))
+	plans := make([]sweepPlan, len(breq.Requests))
 	for i, sub := range breq.Requests {
 		if sub.Client == "" {
 			sub.Client = breq.Client
 		}
-		if err := validateClient(sub.Client); err != nil {
+		if plans[i], err = s.planSweep(sub, defClass); err != nil {
 			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
 			return
 		}
-		class, err := classFor(sub.Priority, defClass)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
-			return
-		}
-		opts, err := sub.Options()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
-			return
-		}
-		if s.cfg.SweepWorkers > 0 && opts.Workers > s.cfg.SweepWorkers {
-			opts.Workers = s.cfg.SweepWorkers
-		}
-		// The server cap applies per member, exactly like a lone submission.
-		plan = append(plan, planned{req: sub, opts: opts, key: opts.Key(), class: class,
-			timeout: s.effectiveTimeout(sub.TimeoutMS)})
 	}
-	// All members validated together; each gets its own trace keyed off the
-	// request's trace ID so one batch submission fans out as reqID.0,
-	// reqID.1, ... in logs and trace timelines.
+	// Each member gets its own trace keyed off the request's trace ID, so
+	// one batch submission fans out as reqID.0, reqID.1, ... in logs and
+	// trace timelines.
 	validated := time.Now()
-	// One token per request, charged to each request's effective client,
-	// all-or-nothing across the batch.  The charge lands here, at submission
-	// time — members later served from cache still count; this is a
-	// submission-rate limit — but every path below that turns the whole
-	// batch away with 503 refunds `charged`, so a capacity-rejected batch
-	// burns nobody's tokens.
-	var charged map[string]int
-	if s.quota != nil {
-		charged = make(map[string]int, 1)
-		for _, p := range plan {
-			charged[p.req.Client]++
-		}
-		if ok, denied, wait := s.quota.allowBatch(charged); !ok {
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(wait)))
-			writeError(w, http.StatusTooManyRequests,
-				"client %q is over its submission rate, retry later", denied)
-			return
-		}
+	for i := range plans {
+		plans[i].trace = submissionTrace(fmt.Sprintf("%s.%d", reqID, i), received, validated)
 	}
-	// Prime from the persistent store outside the lock, like handleSubmit:
-	// persisted sweeps must not consume queue capacity.  The results are
-	// kept by key rather than relying on the cache still holding them — a
-	// batch with more persisted keys than the cache capacity would
-	// otherwise LRU-evict its own earlier revivals before they are used —
-	// and re-installed right before the member job that needs them.
-	revived := make(map[string]*refrint.SweepResults, len(plan))
-	for _, p := range plan {
-		if _, ok := revived[p.key]; ok {
-			continue
-		}
-		if res, ok := s.reviveStoredSweep(p.key); ok {
-			revived[p.key] = res
-		}
+	a, aerr := s.prepareAdmission(plans)
+	if aerr != nil {
+		writeAdmitError(w, aerr)
+		return
 	}
 
 	s.mu.Lock()
-	if s.closed || s.draining {
-		retryAfter := s.drainRetryAfter
+	jobs, aborts, aerr := s.admitLocked(a)
+	if aerr != nil {
 		s.mu.Unlock()
-		s.quota.refund(charged)
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
-		}
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.refuse(w, a, aborts, aerr)
 		return
 	}
-	// Plan the batch's scheduler effects and check capacity for all of
-	// them at once.  Identical keys within the batch share one execution
-	// (singleflight) and count once, at the most urgent class among their
-	// occurrences — the class the shared execution ends up in, and the
-	// class submitJobLocked creates it at.  Attaching to a pre-existing
-	// queued execution that the batch will promote consumes a slot in the
-	// target class and frees one in the class it leaves; the freed slot is
-	// credited, and promotions are applied up front (most urgent target
-	// first) so everything they free is free before any member submits.
-	// All submissions are serialized under s.mu and dequeues only ever free
-	// capacity, but queue-wait aging moves queued items between classes
-	// asynchronously and can consume a class's slots between this check and
-	// the submits below.  That race is tolerated rather than prevented: a
-	// mid-submit overflow aborts the whole batch (no partial admission),
-	// answers 503 and refunds the quota tokens.
-	effClass := make(map[string]sched.Class, len(plan))
-	for _, p := range plan {
-		if c, ok := effClass[p.key]; !ok || p.class < c {
-			effClass[p.key] = p.class
-		}
-	}
-	type promotion struct {
-		e  *entry
-		to sched.Class
-	}
-	var promos []promotion
-	var need, freed [sched.NumClasses]int
-	counted := make(map[string]bool, len(plan))
-	for _, p := range plan {
-		if counted[p.key] {
-			continue
-		}
-		counted[p.key] = true
-		if e, hit := s.cache.lookup(p.key); hit {
-			// StillQueued filters the race where a worker already popped
-			// the item (Promote would no-op, consuming nothing).
-			if e.state == StateQueued && effClass[p.key] < e.class && s.sched.StillQueued(e.handle) {
-				promos = append(promos, promotion{e: e, to: effClass[p.key]})
-				need[effClass[p.key]]++
-				freed[e.class]++
-			}
-			continue
-		}
-		if revived[p.key] != nil {
-			continue
-		}
-		need[effClass[p.key]]++
-	}
-	for class, n := range need {
-		// Skip classes the batch does not touch: a full class must not
-		// veto batches that need nothing from it.
-		if n == 0 {
-			continue
-		}
-		if free := s.sched.Free(sched.Class(class)) + freed[class]; n > free {
-			s.mu.Unlock()
-			s.quota.refund(charged)
-			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(sched.Class(class))))
-			writeError(w, http.StatusServiceUnavailable,
-				"%s queue has %d free slots, batch needs %d; retry later",
-				sched.Class(class), free, n)
-			return
-		}
-	}
-	// Promotions ordered by target class, most urgent first: a promotion's
-	// departure from class c targets a class more urgent than c, so every
-	// departure from c executes before any arrival into c, and the credits
-	// above are honored without transient overflow.
-	sort.SliceStable(promos, func(i, j int) bool { return promos[i].to < promos[j].to })
-	for _, pr := range promos {
-		s.moveEntryLocked(pr.e, pr.to)
-	}
-
 	s.nextBatchID++
 	b := &Batch{
 		id:        fmt.Sprintf("batch-%06d", s.nextBatchID),
@@ -342,34 +208,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		client:    breq.Client,
 		createdAt: time.Now(),
 	}
-	for i, p := range plan {
-		// Re-install a revived result the cache may have evicted since (or
-		// during) the revive loop, so this member is served as a hit.
-		if res := revived[p.key]; res != nil {
-			if _, hit := s.cache.lookup(p.key); !hit {
-				s.installDoneEntryLocked(p.key, res)
-			}
-		}
-		tr := trace{id: fmt.Sprintf("%s.%d", reqID, i)}
-		tr.mark(phaseReceived, received)
-		tr.mark(phaseValidated, validated)
-		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, effClass[p.key], p.timeout, tr)
-		if !ok {
-			// Reachable only when queue-wait aging moved items into this
-			// class after the capacity check (submissions themselves stay
-			// serialized under s.mu); bail out whole rather than admit a
-			// partial batch.
-			s.cfg.Logf("batch: %s queue filled after capacity check (queue-wait aging), aborting batch", effClass[p.key])
-			aborts := s.rollbackBatchLocked(b)
-			s.mu.Unlock()
-			for _, e := range aborts {
-				e.cancel()
-			}
-			s.quota.refund(charged)
-			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(p.class)))
-			writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", p.class)
-			return
-		}
+	for _, job := range jobs {
 		b.members = append(b.members, batchMember{job: job})
 	}
 	s.batches[b.id] = b
@@ -446,35 +285,6 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Logf("sweep %s: cancel requested", e.key)
 	}
 	writeJSON(w, http.StatusOK, view)
-}
-
-// rollbackBatchLocked undoes a partially admitted batch: every member
-// created so far is cancelled and erased from the pollable job history, so
-// a failed batch leaves no trace.  It returns the entries whose contexts
-// must be cancelled outside the lock.  Caller holds the server mutex.
-func (s *Server) rollbackBatchLocked(b *Batch) []*entry {
-	var aborts []*entry
-	doomed := make(map[string]bool, len(b.members))
-	for i := range b.members {
-		j := b.members[i].job
-		if j == nil {
-			continue // frozen members are terminal and already historical
-		}
-		if e := s.cancelJobLocked(j); e != nil {
-			aborts = append(aborts, e)
-		}
-		doomed[j.id] = true
-		delete(s.jobs, j.id)
-	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		if !doomed[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.jobOrder = kept
-	b.members = nil
-	return aborts
 }
 
 // evictBatchesLocked freezes every terminal member — batches must not pin

@@ -571,7 +571,7 @@ func TestRollbackBatchLocked(t *testing.T) {
 
 	s := h.srv
 	s.mu.Lock()
-	b := &Batch{id: "batch-test", class: sched.Batch}
+	var jobs []*Job
 	for seed := int64(2); seed <= 3; seed++ {
 		req := tinyRequest(seed)
 		opts, err := req.Options()
@@ -584,10 +584,10 @@ func TestRollbackBatchLocked(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatal("submitJobLocked rejected")
 		}
-		b.members = append(b.members, batchMember{job: job})
+		jobs = append(jobs, job)
 	}
 	jobsBefore := len(s.jobs)
-	aborts := s.rollbackBatchLocked(b)
+	aborts := s.rollbackJobsLocked(jobs)
 	jobsAfter, orderAfter := len(s.jobs), len(s.jobOrder)
 	queued := s.sched.Queued()
 	s.mu.Unlock()

@@ -107,7 +107,7 @@ func newClientQuota(rate float64, burst int, now func() time.Time) *clientQuota 
 // when first seen.  It never evicts: insertions may transiently push the map
 // past quotaMaxClients, and the caller re-bounds it with boundLocked once
 // all its debits are done — never mid-operation, so a multi-client charge
-// (allowBatch) can refill several buckets in turn without an eviction
+// (allow) can refill several buckets in turn without an eviction
 // deleting one of them underneath.  Caller holds the quota mutex.
 func (q *clientQuota) refillLocked(client string, now time.Time) *bucket {
 	b := q.buckets[client]
@@ -140,33 +140,13 @@ func (q *clientQuota) waitFor(b *bucket, need float64) time.Duration {
 	return time.Duration(wait * float64(time.Second))
 }
 
-// allow charges n tokens to the client's bucket.  When the bucket cannot
-// cover the charge it reports false with the wait until it could — the
-// Retry-After hint — and records the throttle.  A nil quota always allows.
-func (q *clientQuota) allow(client string, n int) (ok bool, retryAfter time.Duration) {
-	if q == nil {
-		return true, 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	defer q.boundLocked()
-	b := q.refillLocked(client, q.now())
-	need := float64(n)
-	if b.tokens >= need {
-		b.tokens -= need
-		return true, 0
-	}
-	q.recordThrottleLocked(client)
-	return false, q.waitFor(b, need)
-}
-
-// allowBatch charges several clients at once — counts maps each client label
-// to its token charge — atomically: either every bucket covers its charge and
-// all are debited, or nothing is debited and the denied client with the
-// longest refill wait is reported.  Atomicity matches the batch endpoint's
-// all-or-nothing admission: a rejected batch must not burn anyone's tokens.
-// A nil quota always allows.
-func (q *clientQuota) allowBatch(counts map[string]int) (ok bool, denied string, retryAfter time.Duration) {
+// allow charges one submission — counts maps each client label to its token
+// charge — atomically: either every bucket covers its charge and all are
+// debited, or nothing is debited and the denied client with the longest
+// refill wait is reported, with that wait as the Retry-After hint, and the
+// throttle is recorded.  Atomicity matches all-or-nothing admission: a
+// rejected batch must not burn anyone's tokens.  A nil quota always allows.
+func (q *clientQuota) allow(counts map[string]int) (ok bool, denied string, retryAfter time.Duration) {
 	if q == nil {
 		return true, "", 0
 	}
@@ -200,7 +180,7 @@ func (q *clientQuota) allowBatch(counts map[string]int) (ok bool, denied string,
 	return true, "", 0
 }
 
-// refund re-credits tokens previously charged by allow/allowBatch for a
+// refund re-credits tokens previously charged by allow for a
 // submission the server then turned away on queue capacity (503): a
 // capacity-rejected submission must not burn tokens, or a client honoring
 // the 503's Retry-After hint comes back to a drained bucket and a 429.
@@ -228,7 +208,7 @@ func (q *clientQuota) refund(counts map[string]int) {
 // cap/8 insertions rather than on every one.  An evicted bucket
 // reconstructs full on the client's next submission — a bounded,
 // one-burst-sized kindness.  It must only run after an operation's debits
-// are complete, never between refill and debit (see allowBatch).  Caller
+// are complete, never between refill and debit (see allow).  Caller
 // holds the quota mutex.
 func (q *clientQuota) boundLocked() {
 	if len(q.buckets) <= quotaMaxClients {

@@ -188,8 +188,8 @@ type Server struct {
 	// mu guards jobs, jobOrder, batches, batchOrder, cache, nextID,
 	// nextBatchID, closed, the metrics counters and every mutable
 	// Job/Batch/entry field.  Every scheduler mutation (Submit, Cancel,
-	// Promote) happens under mu too, which is what makes the batch
-	// endpoint's capacity-check-then-submit atomic; lock order is always
+	// Promote) happens under mu too, which is what makes admission's
+	// capacity-check-then-submit atomic (admitLocked); lock order is always
 	// s.mu -> sched's internal mutex.
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -810,95 +810,58 @@ func classFor(label string, def sched.Class) (sched.Class, error) {
 	return sched.ParseClass(label)
 }
 
-// handleSubmit implements POST /v1/sweeps: parse the request, attach to an
-// existing execution of the same sweep if one is in flight or cached
-// (singleflight), otherwise enqueue a fresh execution.
+// handleSubmit implements POST /v1/sweeps: a one-member admission plan
+// (see admit.go), answered with the job's view — 200 when it was served
+// done from cache, 202 otherwise.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tr := trace{id: requestTraceID(r)}
-	tr.mark(phaseReceived, time.Now())
-	w.Header().Set("X-Request-Id", tr.id)
+	received := time.Now()
+	reqID := requestTraceID(r)
+	w.Header().Set("X-Request-Id", reqID)
 	var req refrint.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeRequest(w, r, 1<<20, &req) {
 		return
 	}
-	if err := validateClient(req.Client); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	class, err := classFor(req.Priority, sched.Interactive)
+	p, err := s.planSweep(req, sched.Interactive)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := req.Options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	p.trace = submissionTrace(reqID, received, time.Now())
+	a, aerr := s.prepareAdmission([]sweepPlan{p})
+	if aerr != nil {
+		writeAdmitError(w, aerr)
 		return
 	}
-	tr.mark(phaseValidated, time.Now())
-	if ok, wait := s.quota.allow(req.Client, 1); !ok {
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(wait)))
-		writeError(w, http.StatusTooManyRequests,
-			"client %q is over its submission rate, retry later", req.Client)
-		return
-	}
-	if s.cfg.SweepWorkers > 0 && opts.Workers > s.cfg.SweepWorkers {
-		opts.Workers = s.cfg.SweepWorkers
-	}
-	key := opts.Key()
-	// Prime the cache from the persistent store before taking the lock (a
-	// no-op without a store or when the key is already cached): the blob
-	// read must not happen under the server mutex.
-	s.reviveStoredSweep(key)
-
 	s.mu.Lock()
-	if s.closed || s.draining {
-		retryAfter := s.drainRetryAfter
+	jobs, aborts, aerr := s.admitLocked(a)
+	if aerr != nil {
 		s.mu.Unlock()
-		s.quota.refund(map[string]int{req.Client: 1})
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
-		}
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	job, ok := s.submitJobLocked(req, opts, key, class, class, s.effectiveTimeout(req.TimeoutMS), tr)
-	if !ok {
-		s.mu.Unlock()
-		// A capacity rejection gives the token back: the client honoring the
-		// Retry-After below must not come back to a drained bucket.
-		s.quota.refund(map[string]int{req.Client: 1})
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(class)))
-		writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", class)
+		s.refuse(w, a, aborts, aerr)
 		return
 	}
 	status := http.StatusAccepted
-	if job.cacheHit {
+	if jobs[0].cacheHit {
 		status = http.StatusOK
 	}
-	view := job.snapshot()
+	view := jobs[0].snapshot()
 	s.mu.Unlock()
 
 	w.Header().Set("Location", "/v1/sweeps/"+view.ID)
 	writeJSON(w, status, view)
 }
 
-// submitJobLocked creates one job for a resolved request: served from cache,
-// attached to the in-flight execution of the same key (promoting it when the
-// new job is more urgent), or enqueued as a fresh execution.  class is the
-// job's own priority; entryClass is the class a fresh execution enqueues at —
-// the same, except in a batch whose later duplicate of this key is more
-// urgent (creating at the final class directly keeps capacity accounting
-// exact).  timeout bounds a FRESH execution's wall time (0 = none); a job
-// attaching to an in-flight execution inherits that execution's deadline —
-// singleflight shares one run, so the first submitter's bound governs it.
-// It reports false — creating nothing — when the class queue is full.
-// Caller holds the server mutex; both POST /v1/sweeps and POST /v1/batches
-// funnel through here, which keeps every scheduler mutation serialized
-// under it.
+// submitJobLocked creates one job for a planned request: served from cache,
+// attached to the in-flight execution of the same key, or enqueued as a
+// fresh execution.  It never promotes: promotion is decided by the
+// admission plan alone (reserveLocked).  class is the job's own priority;
+// entryClass is the class a fresh execution enqueues at — the same, except
+// in a plan whose later duplicate of this key is more urgent (creating at
+// the final class directly keeps capacity accounting exact).  timeout
+// bounds a FRESH execution's wall time (0 = none); a job attaching to an
+// in-flight execution inherits that execution's deadline — singleflight
+// shares one run, so the first submitter's bound governs it.  It reports
+// false — creating nothing — when the class queue is full.  Caller holds
+// the server mutex.
 func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class, entryClass sched.Class, timeout time.Duration, tr trace) (*Job, bool) {
 	s.nextID++
 	job := &Job{
@@ -947,14 +910,6 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 			job.trace.mark(phaseQueued, job.createdAt)
 			e.refs++
 			s.sweepCacheMisses++
-			// Priority inheritance: a more urgent job attaching to a
-			// queued execution drags it into the urgent class.  Promotion
-			// targets entryClass so a batch moves the execution straight
-			// to its effective class — the class its capacity check
-			// charged — never through an unaccounted intermediate one.
-			if entryClass < e.class {
-				s.moveEntryLocked(e, entryClass)
-			}
 		}
 	} else {
 		s.sweepCacheMisses++

@@ -209,11 +209,11 @@ func TestQuotaFakeClock(t *testing.T) {
 	q := newClientQuota(2, 4, func() time.Time { return now })
 
 	for i := 0; i < 4; i++ {
-		if ok, _ := q.allow("a", 1); !ok {
+		if ok, _, _ := q.allow(map[string]int{"a": 1}); !ok {
 			t.Fatalf("charge %d within burst denied", i)
 		}
 	}
-	ok, wait := q.allow("a", 1)
+	ok, _, wait := q.allow(map[string]int{"a": 1})
 	if ok {
 		t.Fatal("charge beyond burst allowed")
 	}
@@ -223,20 +223,20 @@ func TestQuotaFakeClock(t *testing.T) {
 	}
 	// A charge beyond burst hints the burst refill, not the impossible full
 	// charge.
-	if _, wait := q.allow("a", 10); wait != 2*time.Second {
+	if _, _, wait := q.allow(map[string]int{"a": 10}); wait != 2*time.Second {
 		t.Fatalf("over-burst wait = %v, want 2s (burst/rate)", wait)
 	}
 	now = now.Add(time.Second) // +2 tokens
-	if ok, _ := q.allow("a", 2); !ok {
+	if ok, _, _ := q.allow(map[string]int{"a": 2}); !ok {
 		t.Fatal("refilled tokens not granted")
 	}
 
-	// allowBatch is atomic: a denied batch burns nobody's tokens.
-	ok, denied, _ := q.allowBatch(map[string]int{"b": 3, "a": 1})
+	// allow is atomic: a denied batch burns nobody's tokens.
+	ok, denied, _ := q.allow(map[string]int{"b": 3, "a": 1})
 	if ok || denied != "a" {
-		t.Fatalf("allowBatch = ok=%v denied=%q, want denial of a", ok, denied)
+		t.Fatalf("allow = ok=%v denied=%q, want denial of a", ok, denied)
 	}
-	if ok, _ := q.allow("b", 4); !ok {
+	if ok, _, _ := q.allow(map[string]int{"b": 4}); !ok {
 		t.Fatal("denied batch consumed b's tokens")
 	}
 
@@ -249,7 +249,7 @@ func TestQuotaFakeClock(t *testing.T) {
 		t.Fatal("rate 0 should disable the quota (nil)")
 	}
 	var off *clientQuota
-	if ok, _ := off.allow("x", 100); !ok {
+	if ok, _, _ := off.allow(map[string]int{"x": 100}); !ok {
 		t.Fatal("nil quota must always allow")
 	}
 }
@@ -521,7 +521,7 @@ func TestPriorityAwareCacheEviction(t *testing.T) {
 }
 
 // TestQuotaBatchAtClientCap is the regression for a nil-pointer panic in
-// allowBatch: with the buckets map at quotaMaxClients, charging a batch that
+// allow: with the buckets map at quotaMaxClients, charging a batch that
 // contains a brand-new client used to trigger a mid-charge sweep that could
 // delete a same-batch client's idle (refilled-to-full) bucket between the
 // check loop and the debit loop.  The charge must succeed — and debit the
@@ -530,12 +530,12 @@ func TestQuotaBatchAtClientCap(t *testing.T) {
 	now := time.Unix(1000, 0)
 	q := newClientQuota(1, 8, func() time.Time { return now })
 	for i := 0; i < quotaMaxClients; i++ {
-		q.allow(fmt.Sprintf("c%d", i), 1)
+		q.allow(map[string]int{fmt.Sprintf("c%d", i): 1})
 	}
 	// Let every tracked bucket refill to full: the old mid-charge sweep
 	// deleted exactly these when the newcomer's insertion hit the cap.
 	now = now.Add(time.Hour)
-	ok, denied, _ := q.allowBatch(map[string]int{"c0": 2, "newcomer": 3})
+	ok, denied, _ := q.allow(map[string]int{"c0": 2, "newcomer": 3})
 	if !ok {
 		t.Fatalf("batch at client cap denied (client %q)", denied)
 	}
@@ -559,7 +559,7 @@ func TestQuotaHardBound(t *testing.T) {
 	for i := 0; i < quotaMaxClients+600; i++ {
 		now = now.Add(time.Millisecond)
 		last = fmt.Sprintf("churn%d", i)
-		if ok, _ := q.allow(last, 1); !ok {
+		if ok, _, _ := q.allow(map[string]int{last: 1}); !ok {
 			t.Fatalf("fresh client %d denied", i)
 		}
 	}
