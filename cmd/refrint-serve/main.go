@@ -1,6 +1,6 @@
 // Command refrint-serve runs the Refrint sweep service: an HTTP API that
-// accepts sweep jobs, executes them on a bounded priority-aware
-// work-stealing scheduler, caches results by canonical sweep key, and serves
+// accepts sweep jobs, executes them on a bounded priority-aware scheduler
+// with one run queue, caches results by canonical sweep key, and serves
 // the paper's Table 6.1 and Figure 6.1-6.4 data series as JSON.
 //
 // Quickstart:
@@ -21,8 +21,8 @@
 //
 // Sweeps carry an optional priority class (interactive > batch >
 // background) and client label; classes dequeue by weighted fair share
-// (-class-weights), clients within a class round-robin, and idle workers
-// steal queued work, so no worker idles while any queue holds sweeps.
+// (-class-weights), clients within a class round-robin, and every worker
+// takes from the one run queue, so no worker idles while sweeps are queued.
 //
 // With -data-dir, completed sweeps and their individual simulation cells are
 // persisted: a restarted server serves previously completed sweeps without
@@ -107,9 +107,8 @@ func parseClassTriple(flagName, s string) ([sched.NumClasses]int, error) {
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		shards         = flag.Int("shards", 2, "worker goroutines (concurrent sweeps)")
-		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits shards*queue-depth)")
-		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (overrides -queue-depth scaling)")
+		shards         = flag.Int("shards", 2, "worker goroutines (concurrent sweeps), all taking from one run queue")
+		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (default 8*shards each)")
 		classWeights   = flag.String("class-weights", "", "weighted-fair dequeue shares as interactive,batch,background (default 16,4,1)")
 		cacheEntries   = flag.Int("cache", 32, "completed sweeps kept for reuse")
 		sweepWorkers   = flag.Int("sweep-workers", 0, "simulation concurrency per sweep (0 = NumCPU/shards)")
@@ -179,7 +178,6 @@ func main() {
 
 	svc := server.New(server.Config{
 		Shards:          *shards,
-		QueueDepth:      *queueDepth,
 		ClassQueueDepth: depths,
 		ClassWeights:    weights,
 		CacheEntries:    *cacheEntries,

@@ -20,14 +20,14 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
 
-	if _, ok := s.Submit("g", "tenant", Background, "old-bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "old-bg"); !ok {
 		t.Fatal("submit old-bg rejected")
 	}
-	if _, ok := s.Submit("b", "tenant", Batch, "old-batch"); !ok {
+	if _, ok := s.Submit("tenant", Batch, "old-batch"); !ok {
 		t.Fatal("submit old-batch rejected")
 	}
 	clk.advance(time.Minute)
-	if _, ok := s.Submit("g2", "tenant", Background, "young-bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "young-bg"); !ok {
 		t.Fatal("submit young-bg rejected")
 	}
 
@@ -42,7 +42,7 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 		t.Fatalf("Queued = %v, want [1 1 1]", st.Queued)
 	}
 	// The aged batch item is now the only interactive one and dequeues first.
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"old-batch", "old-bg", "young-bg"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
@@ -54,7 +54,7 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 func TestAgingNeedsFullPeriodPerHop(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(time.Minute)
@@ -81,10 +81,10 @@ func TestAgingPreservesFIFOAndFairShare(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
 	for i := 1; i <= 3; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("a%d", i), "alice", Background, fmt.Sprintf("a%d", i)); !ok {
+		if _, ok := s.Submit("alice", Background, fmt.Sprintf("a%d", i)); !ok {
 			t.Fatalf("submit a%d rejected", i)
 		}
-		if _, ok := s.Submit(fmt.Sprintf("b%d", i), "bob", Background, fmt.Sprintf("b%d", i)); !ok {
+		if _, ok := s.Submit("bob", Background, fmt.Sprintf("b%d", i)); !ok {
 			t.Fatalf("submit b%d rejected", i)
 		}
 	}
@@ -95,7 +95,7 @@ func TestAgingPreservesFIFOAndFairShare(t *testing.T) {
 	if q := s.Stats().Queued; q != [NumClasses]int{0, 6, 0} {
 		t.Fatalf("Queued = %v, want all 6 in batch", q)
 	}
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"a1", "b1", "a2", "b2", "a3", "b3"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
@@ -114,11 +114,11 @@ func TestAgingRespectsDepthBound(t *testing.T) {
 		Now:      clk.now,
 	})
 	for i := 0; i < 2; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("b%d", i), "tenant", Batch, fmt.Sprintf("b%d", i)); !ok {
+		if _, ok := s.Submit("tenant", Batch, fmt.Sprintf("b%d", i)); !ok {
 			t.Fatalf("submit b%d rejected", i)
 		}
 	}
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit bg rejected")
 	}
 	clk.advance(time.Minute)
@@ -140,13 +140,13 @@ func TestAgingRespectsDepthBound(t *testing.T) {
 		Depth:    [NumClasses]int{1, 1, 4},
 		Now:      clk.now,
 	})
-	if _, ok := s2.Submit("i", "tenant", Interactive, "i"); !ok {
+	if _, ok := s2.Submit("tenant", Interactive, "i"); !ok {
 		t.Fatal("submit i rejected")
 	}
-	if _, ok := s2.Submit("b", "tenant", Batch, "b"); !ok {
+	if _, ok := s2.Submit("tenant", Batch, "b"); !ok {
 		t.Fatal("submit b rejected")
 	}
-	if _, ok := s2.Submit("g", "tenant", Background, "g"); !ok {
+	if _, ok := s2.Submit("tenant", Background, "g"); !ok {
 		t.Fatal("submit g rejected")
 	}
 	clk.advance(time.Minute)
@@ -158,7 +158,7 @@ func TestAgingRespectsDepthBound(t *testing.T) {
 	}
 	// Drain the interactive item: batch can now age up, freeing batch for
 	// the background item on the following scan.
-	it := s2.tryNext(0)
+	it := s2.tryNext()
 	if it == nil || it.payload != "i" {
 		t.Fatalf("dequeued %v, want i", it)
 	}
@@ -178,7 +178,7 @@ func TestAgingRespectsDepthBound(t *testing.T) {
 func TestAgingKeepsHandlesValid(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
-	h, ok := s.Submit("g", "tenant", Background, "bg")
+	h, ok := s.Submit("tenant", Background, "bg")
 	if !ok {
 		t.Fatal("submit rejected")
 	}
@@ -217,7 +217,7 @@ func TestAgingOnAgeCallback(t *testing.T) {
 			hops = append(hops, hop{payload, from, to})
 		},
 	})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(time.Minute)
@@ -231,7 +231,7 @@ func TestAgingOnAgeCallback(t *testing.T) {
 func TestAgingDisabledByDefault(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, Now: clk.now})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(24 * time.Hour)

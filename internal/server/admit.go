@@ -178,7 +178,7 @@ func (s *Server) admitLocked(a *admission) (jobs []*Job, aborts []*entry, err *a
 			// Reachable only when queue-wait aging moved items into this
 			// class after reserveLocked (submissions themselves serialize
 			// under s.mu): bail out whole rather than admit part of a plan.
-			s.cfg.Logf("admission: %s queue filled after capacity check (queue-wait aging), aborting", class)
+			s.logf("admission: %s queue filled after capacity check (queue-wait aging), aborting", class)
 			return nil, s.rollbackJobsLocked(jobs), &admitError{
 				status:     http.StatusServiceUnavailable,
 				retryAfter: s.retryAfterHint(class),

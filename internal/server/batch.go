@@ -233,7 +233,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.evictBatchesLocked()
 	s.mu.Unlock()
-	s.cfg.Logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
+	s.logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
 
 	status := http.StatusAccepted
 	if view.State == StateDone {
@@ -282,7 +282,7 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	for _, e := range aborts {
 		e.cancel()
-		s.cfg.Logf("sweep %s: cancel requested", e.key)
+		s.logf("sweep %s: cancel requested", e.key)
 	}
 	writeJSON(w, http.StatusOK, view)
 }

@@ -131,7 +131,7 @@ func TestBatchValidationAtomic(t *testing.T) {
 // the slots it probed stay usable.
 func TestBatchCapacityAtomic(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 2, Execute: exec.fn})
+	h := newHarness(t, Config{Shards: 1, ClassQueueDepth: [sched.NumClasses]int{2, 2, 2}, Execute: exec.fn})
 
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker
@@ -199,7 +199,7 @@ func TestBatchPartialFailure(t *testing.T) {
 // immediately, and running members abort via context.
 func TestBatchCancel(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 2, Execute: exec.fn})
+	h := newHarness(t, Config{Shards: 1, ClassQueueDepth: [sched.NumClasses]int{2, 2, 2}, Execute: exec.fn})
 
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker so batch members stay queued

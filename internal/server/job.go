@@ -7,8 +7,8 @@
 // Submissions carry an optional priority class — interactive (the default
 // for POST /v1/sweeps) > batch (the default inside POST /v1/batches) >
 // background — and an optional client label for fair-share dequeue between
-// tenants.  Workers steal across queues, so no worker idles while any queue
-// holds work, and cancelling a queued job frees its bounded queue slot
+// tenants.  All workers take from one run queue, so no worker idles while
+// work is queued, and cancelling a queued job frees its bounded queue slot
 // immediately.
 //
 // Job lifecycle:

@@ -30,16 +30,11 @@ type ExecuteFunc func(ctx context.Context, opts sweep.Options, progress func(swe
 type Config struct {
 	// Shards is the number of worker goroutines (default 2).  Each worker
 	// runs one sweep at a time; a sweep itself parallelizes internally.
-	// Workers steal across queues, so the name is historical: submissions
-	// are homed to a worker by key hash but never stuck behind it.
+	// All workers take from one run queue, so the name is historical.
 	Shards int
-	// QueueDepth scales the pending-execution bound (default 8): each
-	// priority class admits Shards*QueueDepth queued sweeps unless
-	// ClassQueueDepth overrides it.  Submissions beyond the bound get HTTP
-	// 503.
-	QueueDepth int
-	// ClassQueueDepth, where positive, bounds the queued sweeps of one
-	// priority class (indexed by sched.Class) instead of Shards*QueueDepth.
+	// ClassQueueDepth bounds the queued sweeps of each priority class
+	// (indexed by sched.Class; default 8*Shards each).  Submissions beyond
+	// the bound get HTTP 503.
 	ClassQueueDepth [sched.NumClasses]int
 	// ClassWeights are the weighted-fair dequeue shares per priority class
 	// (default sched.DefaultWeights, 16/4/1): with every class backlogged,
@@ -106,21 +101,14 @@ type Config struct {
 	Store *store.Store
 	// Logger is the structured log sink.  Job lifecycle lines carry the
 	// request trace ID, client, class and sweep key, and terminal lines
-	// carry the per-phase duration breakdown.  When unset it is derived
-	// from Logf (or discards everything if that is unset too).
+	// carry the per-phase duration breakdown.  When unset, logs are
+	// discarded.
 	Logger *slog.Logger
-	// Logf, when set, receives one line per job state transition
-	// (printf-style; predates Logger).  When unset it is derived from
-	// Logger, so both APIs feed one stream.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 32
@@ -133,7 +121,7 @@ func (c Config) withDefaults() Config {
 	}
 	for class := range c.ClassQueueDepth {
 		if c.ClassQueueDepth[class] <= 0 {
-			c.ClassQueueDepth[class] = c.Shards * c.QueueDepth
+			c.ClassQueueDepth[class] = 8 * c.Shards
 		}
 	}
 	if c.SweepWorkers <= 0 {
@@ -156,17 +144,8 @@ func (c Config) withDefaults() Config {
 			return sweep.ExecuteContext(ctx, opts, progress)
 		}
 	}
-	switch {
-	case c.Logger == nil && c.Logf == nil:
+	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
-		c.Logf = func(string, ...any) {}
-	case c.Logger == nil:
-		c.Logger = slog.New(logfHandler{f: c.Logf})
-	case c.Logf == nil:
-		logger := c.Logger
-		c.Logf = func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		}
 	}
 	return c
 }
@@ -285,7 +264,7 @@ func New(cfg Config) *Server {
 				}
 			}
 			s.mu.Unlock()
-			s.cfg.Logf("sweep %s: aged %s -> %s after queue wait", e.key, from, to)
+			s.logf("sweep %s: aged %s -> %s after queue wait", e.key, from, to)
 		},
 		// OnDequeue runs on the worker goroutine with no scheduler lock
 		// held: it feeds the per-class queue-wait histogram and stamps the
@@ -377,7 +356,7 @@ func (s *Server) BeginDrain(expect time.Duration) {
 	s.draining = true
 	s.drainRetryAfter = secs
 	s.mu.Unlock()
-	s.cfg.Logf("server: draining, in-flight work has %v to finish", expect)
+	s.logf("server: draining, in-flight work has %v to finish", expect)
 }
 
 // Draining reports whether BeginDrain has run.
@@ -446,7 +425,7 @@ func (s *Server) runEntry(e *entry) {
 	}
 	class := e.class
 	s.mu.Unlock()
-	s.cfg.Logf("sweep %s: running (%d sims)", e.key, e.total.Load())
+	s.logf("sweep %s: running (%d sims)", e.key, e.total.Load())
 
 	// With a store attached, individual cells already computed by earlier
 	// (possibly different) sweeps are served from it instead of simulating,
@@ -455,7 +434,7 @@ func (s *Server) runEntry(e *entry) {
 	// fills, background results go before batch before interactive.
 	opts := e.opts
 	if st := s.cfg.Store; st != nil {
-		opts.CellLookup, opts.CellPut = st.CellHooksRanked(int(class), s.cfg.Logf)
+		opts.CellLookup, opts.CellPut = st.CellHooksRanked(int(class), s.logf)
 	}
 
 	// The deadline is layered on e.ctx, so finishLocked can still tell a
@@ -477,7 +456,7 @@ func (s *Server) runEntry(e *entry) {
 		markJobsLocked(e, phasePersisting, time.Now())
 		s.mu.Unlock()
 		if perr := s.cfg.Store.PutRanked(store.KindSweep, e.key, int(class), res); perr != nil {
-			s.cfg.Logf("store: persisting sweep %s: %v", e.key, perr)
+			s.logf("store: persisting sweep %s: %v", e.key, perr)
 		}
 	}
 
@@ -686,7 +665,7 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 		for _, cl := range s.cache.markCompleted(e) {
 			s.sweepCacheEvicted[cl]++
 		}
-		s.cfg.Logf("sweep %s: done", e.key)
+		s.logf("sweep %s: done", e.key)
 	case e.ctx.Err() != nil:
 		// The execution's own context died (client cancel or shutdown).
 		// Checked before the deadline: a sweep cancelled while also racing
@@ -694,19 +673,19 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 		e.state = StateCancelled
 		e.err = context.Canceled
 		s.cache.drop(e)
-		s.cfg.Logf("sweep %s: cancelled", e.key)
+		s.logf("sweep %s: cancelled", e.key)
 	case errors.Is(err, context.DeadlineExceeded):
 		e.state = StateFailed
 		e.err = fmt.Errorf("deadline exceeded after %v", e.timeout)
 		e.reason = reasonDeadline
 		s.jobTimeouts[e.class]++
 		s.cache.drop(e)
-		s.cfg.Logf("sweep %s: failed: deadline exceeded after %v", e.key, e.timeout)
+		s.logf("sweep %s: failed: deadline exceeded after %v", e.key, e.timeout)
 	case errors.Is(err, context.Canceled):
 		e.state = StateCancelled
 		e.err = context.Canceled
 		s.cache.drop(e)
-		s.cfg.Logf("sweep %s: cancelled", e.key)
+		s.logf("sweep %s: cancelled", e.key)
 	default:
 		e.state = StateFailed
 		e.err = err
@@ -726,7 +705,7 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 			e.reason = reasonPanic // already counted and logged at recovery
 		}
 		s.cache.drop(e)
-		s.cfg.Logf("sweep %s: failed: %v", e.key, err)
+		s.logf("sweep %s: failed: %v", e.key, err)
 	}
 	for _, j := range e.jobs {
 		if j.state.Terminal() {
@@ -927,7 +906,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 		}
 		e.total.Store(int64(opts.Size()))
 		job.entry = e
-		h, ok := s.sched.Submit(key, req.Client, entryClass, e)
+		h, ok := s.sched.Submit(req.Client, entryClass, e)
 		if !ok {
 			cancel()
 			return nil, false
@@ -935,7 +914,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 		e.handle = h
 		job.trace.mark(phaseQueued, job.createdAt)
 		s.cache.put(e)
-		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, entryClass, e.total.Load())
+		s.logf("sweep %s: queued %s (%d sims)", key, entryClass, e.total.Load())
 	}
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
 	s.jobs[job.id] = job
@@ -988,7 +967,7 @@ func (s *Server) reviveStoredSweep(key string) (*refrint.SweepResults, bool) {
 		return nil, false
 	}
 	s.installDoneEntryLocked(key, &res)
-	s.cfg.Logf("sweep %s: restored from store", key)
+	s.logf("sweep %s: restored from store", key)
 	return &res, true
 }
 
@@ -1088,7 +1067,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if e != nil {
 		e.cancel()
-		s.cfg.Logf("sweep %s: cancel requested", e.key)
+		s.logf("sweep %s: cancel requested", e.key)
 	}
 	writeJSON(w, http.StatusOK, view)
 }
@@ -1102,7 +1081,7 @@ func (s *Server) moveEntryLocked(e *entry, to sched.Class) {
 	}
 	if h, ok := s.sched.Promote(e.handle, to); ok {
 		e.handle, e.class = h, to
-		s.cfg.Logf("sweep %s: moved to %s", e.key, to)
+		s.logf("sweep %s: moved to %s", e.key, to)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"refrint"
+	"refrint/internal/sched"
 	"refrint/internal/sweep"
 )
 
@@ -364,12 +365,23 @@ func TestFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestDefaultClassQueueDepth pins the default bound: every class admits 8
+// queued sweeps per worker, 16 at the default two workers.
+func TestDefaultClassQueueDepth(t *testing.T) {
+	if got := (Config{}).withDefaults().ClassQueueDepth; got != [sched.NumClasses]int{16, 16, 16} {
+		t.Errorf("default ClassQueueDepth = %v, want 16 per class", got)
+	}
+	if got := (Config{Shards: 3}).withDefaults().ClassQueueDepth; got != [sched.NumClasses]int{24, 24, 24} {
+		t.Errorf("ClassQueueDepth with 3 shards = %v, want 24 per class", got)
+	}
+}
+
 // TestQueueBounds verifies overload turns into HTTP 503, not unbounded
-// queueing: with one shard of depth one, the third distinct sweep is
+// queueing: with one shard and a class depth of one, the third distinct sweep is
 // rejected while the first still runs.
 func TestQueueBounds(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Shards: 1, ClassQueueDepth: [sched.NumClasses]int{1, 1, 1}, Execute: exec.fn})
 
 	if _, status := h.submit(tinyRequest(1)); status != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", status)

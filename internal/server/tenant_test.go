@@ -284,7 +284,7 @@ func TestBatchQuotaChargesPerRequest(t *testing.T) {
 // both submission endpoints.
 func TestQueueFullRetryAfter(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Shards: 1, ClassQueueDepth: [sched.NumClasses]int{1, 1, 1}, Execute: exec.fn})
 	defer close(exec.release)
 
 	running, _ := h.submit(tinyRequest(1))

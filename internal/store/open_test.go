@@ -59,7 +59,7 @@ func writeIndexFile(t testing.TB, dir string, idx indexFile) {
 
 // populate puts n cells at mixed ranks plus one sweep, reads some of them
 // back so the access clock moves, and closes the store cleanly.
-func populate(t *testing.T, dir string, n int) {
+func populate(t testing.TB, dir string, n int) {
 	t.Helper()
 	s, err := Open(dir, Options{MemEntries: 1})
 	if err != nil {
