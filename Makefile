@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-baseline bench-compare scale-report fmt vet lint profile
+.PHONY: build test race bench fmt vet lint profile
 
 build:
 	$(GO) build ./...
@@ -26,35 +26,21 @@ lint:
 	$(GO) build -o bin/refrint-lint ./cmd/refrint-lint
 	$(GO) vet -vettool=$(CURDIR)/bin/refrint-lint ./...
 
-# Run the hot-path benchmark suite (5 iterations, with allocation counts).
+# Run every Go micro-benchmark, with allocation counts.  End-to-end
+# and per-layer numbers come from the layered benchmark instead:
+#   bash layerbench/run.sh --workload sim-serial --seconds 12
+# (see layerbench/README.md and BENCHMARK.json).
 bench:
-	scripts/bench.sh bench/current.txt
-
-# Regenerate the committed benchmark baseline.  Run on a quiet machine and
-# commit bench/baseline.txt together with the change that moved the numbers.
-bench-baseline:
-	scripts/bench.sh bench/baseline.txt
-
-# Service-level scaling study: sims/sec vs worker-pool size for the quick
-# sweep workload.  Regenerates the committed throughput trajectory; run on a
-# quiet machine and commit BENCH_10.json together with the change that moved
-# the curve.  SCALE_WORKERS / SCALE_REPEAT / SCALE_EFFORT override defaults.
-scale-report:
-	scripts/scale-report.sh BENCH_10.json
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Capture a CPU profile from a running server started with
-# -debug-addr $(DEBUG_ADDR) and drop it under bench/ for go tool pprof:
+# -debug-addr $(DEBUG_ADDR) and drop it under bin/ for go tool pprof:
 #   refrint-serve -debug-addr localhost:6060 &
 #   make profile
-#   $(GO) tool pprof bench/cpu.pprof
+#   $(GO) tool pprof bin/cpu.pprof
 DEBUG_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 10
 profile:
-	curl -sf -o bench/cpu.pprof "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=$(PROFILE_SECONDS)"
-	@echo "wrote bench/cpu.pprof ($(PROFILE_SECONDS)s CPU profile from $(DEBUG_ADDR))"
-
-# Compare the current tree against the committed baseline.  benchstat is
-# fetched on demand; the comparison is advisory (machines differ), so CI
-# treats regressions as warnings, not failures.
-bench-compare: bench
-	$(GO) run golang.org/x/perf/cmd/benchstat@latest bench/baseline.txt bench/current.txt
+	mkdir -p bin
+	curl -sf -o bin/cpu.pprof "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=$(PROFILE_SECONDS)"
+	@echo "wrote bin/cpu.pprof ($(PROFILE_SECONDS)s CPU profile from $(DEBUG_ADDR))"

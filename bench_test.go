@@ -1,17 +1,17 @@
 package refrint
 
-// This file is the benchmark harness required by DESIGN.md: one benchmark
-// per table and figure of the paper's evaluation chapter, each of which
-// regenerates the corresponding data series and reports the headline values
-// as custom benchmark metrics (so `go test -bench` output doubles as a
-// compact reproduction log), plus micro-benchmarks of the simulator's hot
-// paths.
+// This file holds one benchmark per table and figure of the paper's
+// evaluation chapter, plus two ablations.  Each regenerates the
+// corresponding data series and reports the headline values as custom
+// benchmark metrics, so `go test -bench` output doubles as a compact
+// reproduction log.
 //
 // The figure benchmarks run a reduced sweep per iteration: one application
 // per class, the policies that appear in the figure's discussion, a single
 // retention time where the paper highlights 50 us, and shortened runs.  The
 // full-resolution data (all 11 applications, all 43 combinations) is
-// produced by cmd/refrint-sweep and recorded in EXPERIMENTS.md.
+// produced by cmd/refrint-sweep.  Whole-run simulator speed is measured by
+// internal/sim's BenchmarkRun* and by the layered benchmark (layerbench/).
 
 import (
 	"testing"
@@ -230,40 +230,6 @@ func BenchmarkRetentionSweep(b *testing.B) {
 	b.ReportMetric(r200, "refresh_at_200us")
 }
 
-// --- Single-configuration benchmarks ---------------------------------------
-//
-// These measure the simulator itself (cycles simulated per second of wall
-// clock) for the three configurations the paper's headline compares.
-
-func benchmarkSingleRun(b *testing.B, policy string) {
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(SimRequest{
-			App:         "LU",
-			Policy:      policy,
-			RetentionUS: Retention50us,
-			EffortScale: 0.1,
-			Seed:        int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim_cycles")
-}
-
-// BenchmarkRunSRAMBaseline simulates the full-SRAM baseline (Table 5.2 left
-// column).
-func BenchmarkRunSRAMBaseline(b *testing.B) { benchmarkSingleRun(b, "SRAM") }
-
-// BenchmarkRunPeriodicAll simulates the conventional eDRAM scheme the paper
-// uses as its eDRAM baseline.
-func BenchmarkRunPeriodicAll(b *testing.B) { benchmarkSingleRun(b, "P.all") }
-
-// BenchmarkRunRefrintWB simulates the paper's best policy.
-func BenchmarkRunRefrintWB(b *testing.B) { benchmarkSingleRun(b, "R.WB(32,32)") }
-
 // --- Ablation benchmarks ----------------------------------------------------
 
 // BenchmarkAblationSentryGuardBand quantifies the cost of the conservative
@@ -299,8 +265,8 @@ func BenchmarkAblationSentryGuardBand(b *testing.B) {
 }
 
 // BenchmarkAblationWBBudget sweeps the WB(n,m) budget (the knob of
-// Table 5.4) on one Class 1 application and reports the refresh counts, the
-// design-choice trade-off DESIGN.md calls out.
+// Table 5.4) on one Class 1 application and reports the refresh counts: a
+// larger budget keeps idle lines on chip longer at the cost of more refreshes.
 func BenchmarkAblationWBBudget(b *testing.B) {
 	budgets := []int{4, 32}
 	counts := map[int]int64{}

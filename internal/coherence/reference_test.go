@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +184,60 @@ func TestDirectoryRandomizedAgainstMap(t *testing.T) {
 	}
 	if grew == 0 {
 		t.Error("no run grew the table")
+	}
+}
+
+// TestCoreSetRandomizedAgainstBools checks CoreSet against a []bool model
+// of 32 cores.  Random adds and removes, built with the same bit operations
+// the directory uses, are followed by Len, Empty and Contains for every
+// core; a Pop loop must then yield exactly the model's cores in ascending
+// order, with each remainder holding the cores not yet popped.
+func TestCoreSetRandomizedAgainstBools(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var s CoreSet
+		model := make([]bool, 32)
+		for step := 0; step < 200; step++ {
+			core := rng.Intn(32)
+			if rng.Intn(3) == 0 {
+				s &^= 1 << uint(core)
+				model[core] = false
+			} else {
+				s |= 1 << uint(core)
+				model[core] = true
+			}
+			var want []int
+			for c, in := range model {
+				if s.Contains(c) != in {
+					t.Logf("seed %d step %d: Contains(%d) = %v, want %v", seed, step, c, !in, in)
+					return false
+				}
+				if in {
+					want = append(want, c)
+				}
+			}
+			if s.Len() != len(want) || s.Empty() != (len(want) == 0) {
+				t.Logf("seed %d step %d: Len %d Empty %v, want %d %v", seed, step, s.Len(), s.Empty(), len(want), len(want) == 0)
+				return false
+			}
+			var got []int
+			for cs := s; !cs.Empty(); {
+				var c int
+				c, cs = cs.Pop()
+				got = append(got, c)
+				if cs.Contains(c) || cs.Len() != len(want)-len(got) {
+					t.Logf("seed %d step %d: Pop() = %d leaves %b", seed, step, c, cs)
+					return false
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Logf("seed %d step %d: Pop order %v, want %v", seed, step, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

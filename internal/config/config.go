@@ -283,9 +283,6 @@ func HashJSON(v any) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// CyclesPerMicrosecond converts wall-clock microseconds to core cycles.
-func (c Config) CyclesPerMicrosecond() int64 { return int64(c.FreqMHz) / 1 }
-
 // Validate reports the first configuration error found, or nil.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {

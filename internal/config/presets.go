@@ -1,9 +1,10 @@
 package config
 
-// This file defines the two configuration presets described in DESIGN.md
-// section 4.7: the paper's full-size configuration (Table 5.1) and a scaled
-// preset used by tests and benchmarks so that the complete Table 5.4 sweep
-// finishes quickly while keeping the refresh-to-access-rate ratios intact.
+// This file defines the two configuration presets described in the package
+// documentation (config.go): the paper's full-size configuration (Table 5.1)
+// and a scaled preset used by tests and benchmarks so that the complete
+// Table 5.4 sweep finishes quickly while keeping the refresh-to-access-rate
+// ratios intact.
 
 // Standard retention times evaluated by the paper, in microseconds.
 const (

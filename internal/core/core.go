@@ -55,7 +55,6 @@ type Bank struct {
 	cacheCfg config.CacheConfig
 	cell     config.CellConfig
 	policy   config.Policy
-	level    stats.Level
 
 	arr   *cache.Cache
 	ret   edram.Retention
@@ -116,7 +115,6 @@ func NewBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.
 		cacheCfg: cacheCfg,
 		cell:     cell,
 		policy:   policy,
-		level:    level,
 		arr:      cache.New(cacheCfg),
 		ret:      edram.NewRetention(cell),
 		hooks:    hooks,
@@ -173,12 +171,6 @@ func (b *Bank) noteDirty(f cache.Frame, delta int32) {
 // Cache exposes the underlying array (tests and the hierarchy use it for
 // probes that must not disturb refresh state).
 func (b *Bank) Cache() *cache.Cache { return b.arr }
-
-// Policy returns the refresh policy the bank runs.
-func (b *Bank) Policy() config.Policy { return b.policy }
-
-// Level returns the stats level this bank reports under.
-func (b *Bank) Level() stats.Level { return b.level }
 
 // Refreshable reports whether the bank is built from eDRAM and therefore
 // needs refresh.

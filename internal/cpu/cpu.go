@@ -3,10 +3,9 @@
 // The paper simulates dual-issue out-of-order MIPS32 cores in SESC.  This
 // reproduction approximates each core as a dual-issue in-order engine with a
 // bounded miss-overlap window (a configurable number of miss cycles hidden
-// under independent work), which is the documented substitution of DESIGN.md
-// section 4.6.  Because every reported result is normalized to the same core
-// model running on the full-SRAM hierarchy, the policy ratios the paper
-// reports are preserved even though absolute IPC differs.
+// under independent work).  Because every reported result is normalized to
+// the same core model running on the full-SRAM hierarchy, the policy ratios
+// the paper reports are preserved even though absolute IPC differs.
 package cpu
 
 import (

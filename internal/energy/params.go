@@ -93,7 +93,7 @@ const (
 // regardless of the preset's cache capacities: the Scaled preset is a
 // time-compressed stand-in for the full-size machine, so per-event energies
 // and leakage powers must stay those of the full-size arrays for the
-// normalized results to be comparable (see DESIGN.md section 4.7).  Only the
+// normalized results to be comparable (see config.Scaled).  Only the
 // cell-technology leakage ratio and the clock period depend on the
 // configuration.
 func NewParameters(cfg config.Config) Parameters {

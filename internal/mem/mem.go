@@ -19,9 +19,6 @@ type Addr uint64
 // line-offset bits stripped, i.e. Addr >> log2(lineSize)).
 type LineAddr uint64
 
-// DefaultLineSize is the line size used throughout the paper (64 bytes).
-const DefaultLineSize = 64
-
 // LineGeometry describes how physical addresses map onto cache lines.
 type LineGeometry struct {
 	LineSize int // bytes per line; must be a power of two

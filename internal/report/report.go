@@ -1,8 +1,8 @@
 // Package report renders the sweep results as plain-text and CSV tables:
 // the configuration tables of Chapter 5, the application binning of
 // Table 6.1, and the per-figure data series of Figures 6.1-6.4.  The text
-// output is what cmd/refrint-sweep and cmd/refrint-tables print, and what
-// EXPERIMENTS.md embeds.
+// output is what cmd/refrint-sweep and cmd/refrint-tables print; the golden
+// files under testdata pin it for the reference sweep.
 package report
 
 import (

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkSubmitDequeue measures the scheduler hot path: one submission
 // (free-list item, client FIFO append) plus its dequeue
 // (weighted class pick, client round-robin, latency accounting) and release.
-// The benchmem gate in scripts/bench.sh pins this at 0 allocs/op.
+// TestSubmitDequeueZeroAllocs (alloc_test.go) pins this at 0 allocs/op.
 func BenchmarkSubmitDequeue(b *testing.B) {
 	s := New(Config{Workers: 4, Depth: [NumClasses]int{1 << 16, 1 << 16, 1 << 16}})
 	payload := &struct{ n int }{}

@@ -22,8 +22,8 @@ func stubServer(tb testing.TB) *Server {
 }
 
 // BenchmarkProgressCallback measures the per-simulation progress hook — the
-// path the old implementation serialized on the global server mutex.  The
-// perf gate pins it at 0 allocs/op (bench/baseline.txt).
+// path the old implementation serialized on the global server mutex.
+// TestProgressCallbackZeroAllocs (alloc_test.go) pins it at 0 allocs/op.
 func BenchmarkProgressCallback(b *testing.B) {
 	s := stubServer(b)
 	e := &entry{}
@@ -36,8 +36,8 @@ func BenchmarkProgressCallback(b *testing.B) {
 }
 
 // BenchmarkHistogramObserve measures the latency-record path behind every
-// /metrics histogram (HTTP requests, scheduler waits, execution times).  The
-// perf gate pins it at 0 allocs/op (bench/baseline.txt).
+// /metrics histogram (HTTP requests, scheduler waits, execution times).
+// TestHistogramObserveZeroAllocs (alloc_test.go) pins it at 0 allocs/op.
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h histogram
 	b.ReportAllocs()

@@ -4,7 +4,7 @@
 // — and runs one application through it, producing the counters package
 // stats defines and the energy breakdown package energy computes from them.
 //
-// The memory model is transaction-atomic (DESIGN.md section 4.1): each
+// The memory model is transaction-atomic: each
 // memory reference is resolved through the hierarchy in one pass, with
 // latencies accumulated from per-level access times, NoC hops, DRAM channel
 // contention and refresh-induced port blocking, and with all coherence and
@@ -128,12 +128,6 @@ func privatePolicy(l3 config.Policy) config.Policy {
 		return config.Policy{Time: l3.Time, Data: config.ValidData}
 	}
 }
-
-// Config returns the system configuration.
-func (s *System) Config() config.Config { return s.cfg }
-
-// Stats returns the counters accumulated so far.
-func (s *System) Stats() *stats.Stats { return s.st }
 
 // Workload returns the application parameters actually simulated (after any
 // preset scaling).

@@ -674,19 +674,6 @@ func (s *Store) Contains(kind Kind, key string) bool {
 	return ok
 }
 
-// Len returns the number of indexed blobs of one kind.
-func (s *Store) Len(kind Kind) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.entries {
-		if e.kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Store) hit(kind Kind) {
 	if kind == KindSweep {
 		s.stats.SweepHits++

@@ -45,14 +45,6 @@ type ScalarBar struct {
 	Value float64
 }
 
-// FigureSeries is the data for one plot: one bar per (retention, policy).
-type FigureSeries struct {
-	// Name identifies the plot ("class1", "class2", "class3" or "all").
-	Name string
-	// Apps are the applications averaged into the series.
-	Apps []string
-}
-
 // appsFor resolves a series selector to application names.
 func (r *Results) appsFor(selector string) []string {
 	switch selector {

@@ -74,12 +74,6 @@ func NewGenerator(p Params, cfg config.Config, thread int, seed int64) *Generato
 	return g
 }
 
-// Params returns the generator's parameters.
-func (g *Generator) Params() Params { return g.params }
-
-// Issued returns how many references have been generated so far.
-func (g *Generator) Issued() int64 { return g.issued }
-
 // Done reports whether the thread has issued its full quota of references.
 func (g *Generator) Done() bool { return g.issued >= g.params.MemOpsPerThread }
 

@@ -161,7 +161,8 @@ func TestSimulateDefaultsApplied(t *testing.T) {
 //
 // The absolute percentages of this reproduction differ (synthetic workloads,
 // simplified core), so the assertions check the orderings and generous
-// bands; EXPERIMENTS.md records the exact measured values.
+// bands; the golden series in internal/sweep/testdata pin the exact values
+// of the reference sweep.
 func TestHeadlineClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline sweep is slow; skipped with -short")
